@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"aerodrome/internal/rapidio"
 	"aerodrome/internal/server"
+	"aerodrome/internal/trace"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -275,6 +277,32 @@ func TestErrors(t *testing.T) {
 	bad := writeTemp(t, "bad.std", "not a trace line\n")
 	if code := run([]string{bad}, &out, &errOut); code != 2 {
 		t.Fatalf("malformed trace: exit %d", code)
+	}
+}
+
+// TestBinaryTraceWithoutFormatFlag reads a binary trace as STD, in every
+// local mode that parses STD: the error must stay short and name the fix,
+// not echo the binary bytes.
+func TestBinaryTraceWithoutFormatFlag(t *testing.T) {
+	var bin bytes.Buffer
+	bw := rapidio.NewBinaryWriter(&bin)
+	for i := 0; i < 20000; i++ {
+		if err := bw.Write(trace.Event{Thread: trace.ThreadID(i % 4), Kind: trace.Write, Target: int32(i % 9)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTemp(t, "trace.bin", bin.String())
+	for _, mode := range [][]string{{path}, {"-pipeline", path}, {"-par", "2", path}} {
+		var out, errOut bytes.Buffer
+		if code := run(mode, &out, &errOut); code != 2 {
+			t.Fatalf("%v: exit %d, want 2 (stderr %q)", mode, code, errOut.String())
+		}
+		if errOut.Len() >= 256 || !strings.Contains(errOut.String(), "use -format bin") {
+			t.Fatalf("%v: %d-byte stderr %q", mode, errOut.Len(), errOut.String())
+		}
 	}
 }
 

@@ -29,7 +29,12 @@
 //     workload defeats tree pruning (densely entangled chains, where
 //     every join races past most of the tree) demote themselves to the
 //     flat representation adaptively, so the hybrid tracks the better of
-//     the other two on both workload extremes.
+//     the other two on both workload extremes. When a flat source has
+//     more nonzero entries than the tree could absorb without churning
+//     (a fresh thread clock's first read of a dense 𝕎_x on a wide
+//     trace), the clock demotes before the join and joins on the flat
+//     side, so no tree is laid out only to be thrown away; the demotions
+//     themselves are the ones the join would have reported.
 //
 // A fourth instantiation picks the representation adaptively:
 //
@@ -288,8 +293,11 @@
 //     operation sequences (including the flat-interop and copy-on-write
 //     snapshot paths) in lockstep against internal/vc; white-box tests in
 //     internal/core pin the representation dynamics themselves (demotion
-//     during chain bursts, hysteresis re-promotion, the Auto width
-//     cutover).
+//     during chain bursts, demotion before the join on wide traces,
+//     hysteresis re-promotion, the Auto width cutover). The wide shape
+//     (testutil.WideTrace, hundreds of distinct threads) runs through the
+//     differential suites because the byte-program fuzzers stop at 16
+//     threads, below the widths where joins rebuild or demote trees.
 //
 // # Checking a trace
 //

@@ -81,6 +81,62 @@ func TestHybridRepromotionPreservesVerdicts(t *testing.T) {
 	assertRepAgreement(t, "phase-shift", func() trace.Source { return tr.Cursor() })
 }
 
+// TestWideDemotionLeavesNoThrowawayTree pins the pre-join demotion: on the
+// wide shape every fresh thread clock's first read absorbs a dense W_x, and
+// the clock must demote before that join rather than after laying the
+// join's result out as a tree. The begin clock still aliases the abandoned
+// tree, so that tree must be the fresh one- or two-entry clock, not a
+// width-sized star.
+func TestWideDemotionLeavesNoThrowawayTree(t *testing.T) {
+	eng := NewOptimizedAuto()
+	if v, _ := Run(eng, testutil.WideTrace(512, 4, 1).Cursor()); v != nil {
+		t.Fatalf("unexpected violation: %v", v)
+	}
+	checked := 0
+	for i := range eng.threads {
+		ts := &eng.threads[i]
+		if !ts.init || ts.c.tree != nil || ts.c.demotions == 0 || ts.cb.aliasSrc == nil {
+			continue
+		}
+		checked++
+		if n := ts.cb.aliasSrc.NumEntries(); n > 2 {
+			t.Fatalf("thread %d: abandoned tree holds %d entries, want ≤ 2", i, n)
+		}
+	}
+	if checked < 400 {
+		t.Fatalf("only %d demoted thread clocks with an aliased tree; the shape no longer exercises demotion", checked)
+	}
+}
+
+// TestRepresentationTrajectoryPinned pins the representation transitions
+// to the counts of the rule that demoted only after JoinFlat reported
+// churn: deciding the demotion before the join must change where the join
+// happens, never which clocks demote or re-promote.
+func TestRepresentationTrajectoryPinned(t *testing.T) {
+	wide := testutil.WideTrace(512, 4, 1)
+	for _, c := range []struct {
+		name                  string
+		eng                   *OptimizedHybrid
+		tr                    *trace.Trace
+		demote, repro, widthP int64
+	}{
+		{"auto/wide-512", NewOptimizedAuto(), wide, 493, 0, 0},
+		{"hybrid/wide-512", NewOptimizedHybrid(), wide, 496, 0, 0},
+		{"auto/phase-shift", NewOptimizedAuto(), phaseShift(), 0, 0, 0},
+		{"auto-w4/phase-shift", newOptimizedAutoWidth(4), phaseShift(), 8, 8, 4},
+		{"hybrid/phase-shift", NewOptimizedHybrid(), phaseShift(), 8, 8, 0},
+	} {
+		if v, _ := Run(c.eng, c.tr.Cursor()); v != nil {
+			t.Fatalf("%s: unexpected violation: %v", c.name, v)
+		}
+		s := c.eng.Stats()
+		if s.TreeDemotions != c.demote || s.TreeRepromotions != c.repro || s.WidthPromotions != c.widthP {
+			t.Fatalf("%s: demotions/repromotions/width promotions = %d/%d/%d, want %d/%d/%d",
+				c.name, s.TreeDemotions, s.TreeRepromotions, s.WidthPromotions, c.demote, c.repro, c.widthP)
+		}
+	}
+}
+
 func TestRepromoteQuietNeedHysteresis(t *testing.T) {
 	cases := []struct {
 		demotions uint8

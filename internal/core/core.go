@@ -168,8 +168,10 @@ const (
 	// AlgoOptimizedAuto is Algorithm 3 with the representation picked by
 	// observed thread width: thread clocks start flat (flat wins below
 	// T≈16) and promote to trees once the width crosses the threshold,
-	// re-evaluated as threads appear; demoted clocks re-promote with
-	// hysteresis. Auxiliary accumulators are flat, as in the hybrid.
+	// re-evaluated as threads appear. A tree clock demotes to flat when a
+	// join churns it, before the join when the source's width already
+	// proves the churn; demoted clocks re-promote with hysteresis.
+	// Auxiliary accumulators are flat, as in the hybrid.
 	AlgoOptimizedAuto
 )
 

@@ -79,6 +79,11 @@ type autoPolicy struct {
 // stay valid (it will never mutate again), and the flat side starts from a
 // private copy with the mutation counter strictly above the tree's, so any
 // engine epoch slot recorded against the tree conservatively misses.
+// Join calls it before the churning join whenever the churn is certain, so
+// an abandoned tree is normally the pre-join one — a fresh thread clock's
+// single entry on wide traces — and the begin clock that still aliases it
+// pins O(1) nodes; only churn the source's width could not predict demotes
+// after the join, leaving the joined tree behind.
 func (h *hybridClock) demoteToFlat() {
 	m, nz := h.tree.SharedFlatView()
 	h.flat = flatClock{
@@ -239,18 +244,33 @@ func (h *hybridClock) Join(o *hybridClock) {
 	if h.tree != nil {
 		if o.tree != nil {
 			h.tree.Join(o.tree)
-		} else if o.aliasSrc == h.tree {
+			return
+		}
+		if o.aliasSrc == h.tree {
 			// o is a snapshot of this very clock at an earlier version;
 			// monotone growth makes the join a no-op (the R_x-absorb path
 			// on thread-private variables).
+			return
+		}
+		// One heavily churning absorb (the join raced past most of the
+		// tree) is the chain-workload signature: the tree structure gains
+		// nothing there, so demote to flat. Tree becomes nil and every
+		// operation dispatches to the flat side, as for auxiliaries;
+		// thread-sharded workloads never churn and keep their trees.
+		// Demotion holds until the hysteresis quiet streak says the churn
+		// phase has passed (maybePromote).
+		//
+		// When the entries the join must create already prove churn (a
+		// fresh clock absorbing a dense W_x), demote first and join on the
+		// flat side: the join never lays out a star only to discard it.
+		// Otherwise the join itself reports churn. The two orders demote
+		// the same clocks at the same events and leave the same mutation
+		// counter (tree bump + demotion seat, or demotion seat + flat
+		// bump), so the representation trajectory is the join-first one.
+		if h.tree.JoinFlatWouldChurn(o.flat.c, o.flat.nz) {
+			h.demoteToFlat()
+			h.flat.Join(&o.flat)
 		} else if h.tree.JoinFlat(o.flat.c) {
-			// One heavily churning absorb (the join raced past most of the
-			// tree) is the chain-workload signature: the tree structure
-			// gains nothing there, so demote to flat. Tree becomes nil and
-			// every operation dispatches to the flat side, as for
-			// auxiliaries; thread-sharded workloads never churn and keep
-			// their trees. Demotion holds until the hysteresis quiet streak
-			// says the churn phase has passed (maybePromote).
 			h.demoteToFlat()
 		}
 		return

@@ -72,7 +72,11 @@ const AutoWidthThreshold = 16
 // width-adaptive representation: structurally an OptimizedHybrid whose
 // thread clocks pick flat vs tree by the observed thread width, so small
 // traces pay flat's constants and wide ones get the hybrid's tree wins.
-// The representation choice is semantically invisible (the differential
+// Tree thread clocks demote as in the hybrid, and on wide traces mostly
+// before the join: a thread clock created after the cutover holds one
+// entry when its first read absorbs a 𝕎_x as wide as the trace, so it
+// demotes and joins flat without building the throwaway tree. The
+// representation choice is semantically invisible (the differential
 // suites pin it to the other engines' verdicts and indices).
 func NewOptimizedAuto() *OptimizedHybrid {
 	return newOptimizedAutoWidth(AutoWidthThreshold)

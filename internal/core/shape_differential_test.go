@@ -89,3 +89,29 @@ func TestShapeBuilderAgreementAcrossEngines(t *testing.T) {
 		})
 	}
 }
+
+// TestWideShapeAgreementAcrossEngines runs the hostile-width shape past the
+// byte-trace fuzzer's 16-thread cap: fresh thread clocks absorbing W_x
+// entries wide enough to trip JoinFlat's star rebuild and the hybrid's
+// pre-join demotion, which no fuzz join can reach. The violating variant
+// closes its cycle after every demotion has happened.
+func TestWideShapeAgreementAcrossEngines(t *testing.T) {
+	for _, threads := range []int{17, 64, 300} {
+		for _, violating := range []bool{false, true} {
+			tr := testutil.WideTrace(threads, 4, int64(threads))
+			name := fmt.Sprintf("wide-%d", threads)
+			if violating {
+				tr = testutil.WideViolatingTrace(threads, 4, int64(threads))
+				name += "-violating"
+			}
+			t.Run(name, func(t *testing.T) {
+				src := func() trace.Source { return tr.Cursor() }
+				assertRepAgreement(t, name, src)
+				assertBasicAgreement(t, name, src)
+				if v, _ := Run(NewBasic(), tr.Cursor()); (v != nil) != violating {
+					t.Fatalf("basic violation=%v, want %v", v != nil, violating)
+				}
+			})
+		}
+	}
+}

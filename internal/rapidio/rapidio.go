@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 
 	"aerodrome/internal/trace"
 )
@@ -45,9 +46,27 @@ type ParseError struct {
 	Reason string
 }
 
-// Error implements error.
+// maxExcerpt bounds how many bytes of the input an error message quotes:
+// a binary or minified file read as STD can put megabytes on one "line".
+const maxExcerpt = 64
+
+// Error implements error. The offending line is quoted up to maxExcerpt
+// bytes; a line opening with the binary-format magic is quoted only up to
+// the magic and names the fix.
 func (e *ParseError) Error() string {
-	return fmt.Sprintf("rapidio: line %d %q: %s", e.Line, e.Text, e.Reason)
+	if IsBinary([]byte(e.Text)) {
+		return fmt.Sprintf("rapidio: line %d %s: %s (binary trace; use -format bin)",
+			e.Line, excerpt(e.Text, len(binMagic)), e.Reason)
+	}
+	return fmt.Sprintf("rapidio: line %d %s: %s", e.Line, excerpt(e.Text, maxExcerpt), e.Reason)
+}
+
+// excerpt quotes s, cut to at most n bytes with its full length appended.
+func excerpt(s string, n int) string {
+	if len(s) <= n {
+		return strconv.Quote(s)
+	}
+	return fmt.Sprintf("%q… (%d bytes)", s[:n], len(s))
 }
 
 // Unwrap lets errors.Is(err, ErrFormat) succeed.
@@ -344,7 +363,7 @@ func (r *parser) parseLine(line []byte) (trace.Event, error) {
 	}
 	open := bytes.IndexByte(op, '(')
 	if open < 1 || op[len(op)-1] != ')' {
-		return fail("unknown operation " + string(op))
+		return fail("unknown operation " + excerpt(string(op), maxExcerpt))
 	}
 	name := op[:open]
 	arg := op[open+1 : len(op)-1]
@@ -365,7 +384,7 @@ func (r *parser) parseLine(line []byte) (trace.Event, error) {
 	case "join":
 		return trace.Event{Thread: t, Kind: trace.Join, Target: int32(r.internThread(arg))}, nil
 	}
-	return fail("unknown operation " + string(name))
+	return fail("unknown operation " + excerpt(string(name), maxExcerpt))
 }
 
 func (r *parser) internThread(name []byte) trace.ThreadID {

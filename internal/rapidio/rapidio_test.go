@@ -281,3 +281,46 @@ func TestBinaryErrors(t *testing.T) {
 		t.Fatalf("Next on bad stream must fail")
 	}
 }
+
+// TestParseErrorExcerptBounded pins the size of parse-error messages: a
+// long line is quoted only up to maxExcerpt bytes plus its length, and a
+// binary trace read as STD is quoted up to its magic with the fix named.
+func TestParseErrorExcerptBounded(t *testing.T) {
+	long := "t0|" + strings.Repeat("x", 5000) + "|0"
+	_, err := ReadTrace(strings.NewReader("t0|begin|0\n" + long + "\n"))
+	if err == nil {
+		t.Fatal("long bad line: expected error")
+	}
+	msg := err.Error()
+	if len(msg) > 3*maxExcerpt+64 || !strings.Contains(msg, "(5005 bytes)") ||
+		!strings.HasPrefix(msg, "rapidio: line 2 ") || !strings.Contains(msg, "unknown operation") {
+		t.Fatalf("long bad line: %d-byte message %q", len(msg), msg)
+	}
+
+	var bin bytes.Buffer
+	bw := NewBinaryWriter(&bin)
+	for i := 0; i < 20000; i++ {
+		if err := bw.Write(trace.Event{Thread: 1, Kind: trace.Write, Target: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ReadTrace(bytes.NewReader(bin.Bytes()))
+	var pe *ParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("binary read as STD: err %v, want *ParseError", err)
+	}
+	msg = err.Error()
+	if len(msg) >= 256 || !strings.Contains(msg, `"ADB1"…`) ||
+		!strings.Contains(msg, "binary trace; use -format bin") {
+		t.Fatalf("binary read as STD: %d-byte message %q", len(msg), msg)
+	}
+
+	// Short lines are still quoted whole.
+	short := (&ParseError{Line: 3, Text: "t0|frob(x)|0", Reason: "unknown operation"}).Error()
+	if short != `rapidio: line 3 "t0|frob(x)|0": unknown operation` {
+		t.Fatalf("short line: %q", short)
+	}
+}

@@ -1,6 +1,6 @@
 package testutil
 
-// Deterministic builders for the PR 7 scenario-zoo trace shapes:
+// Deterministic builders for the scenario-zoo trace shapes:
 // producer-consumer, barrier phases, lock convoy, and quota-thrash. They
 // mirror the streaming generators in internal/workload but are pure
 // builder code with no randomness, so they can serve as fuzz-corpus seeds
@@ -10,8 +10,14 @@ package testutil
 // four are conflict serializable by construction: transactions are
 // emitted whole, one after another, so every conflict edge points forward
 // in commit order.
+//
+// The wide shape (WideTrace, WideViolatingTrace) is the exception: it is
+// seeded, and it exists to be wider than the byte format's 16 threads, so
+// that joins raise more entries than the fuzzers can reach.
 
 import (
+	"math/rand"
+
 	"aerodrome/internal/trace"
 )
 
@@ -278,6 +284,68 @@ func QuotaThrashTrace(o QuotaThrashOpts) *trace.Trace {
 		b.Join(threads[0], threads[i])
 	}
 	return mustValid(b.Build(), "quota-thrash")
+}
+
+// WideTrace builds the hostile-width shape: threads distinct threads, run
+// one after another, each executing begin; r(x); w(x); end on one of vars
+// shared variables. The trace is serial, hence serializable, but no thread
+// appears twice, so every thread clock is fresh when its read absorbs a
+// W_x that already carries most of the width — the join that churns a
+// one-entry tree. The seed permutes the thread ids and picks the
+// variables. threads ≥ 2 and vars ≥ 1 after clamping.
+func WideTrace(threads, vars int, seed int64) *trace.Trace {
+	return wideTrace(threads, vars, seed, false)
+}
+
+// WideViolatingTrace is WideTrace with the last two threads' transactions
+// interleaved on the same variable (begin, begin, r, r, w, w, end, end):
+// each read precedes the other's write, so the two transactions form a
+// conflict cycle at the very end of a wide trace.
+func WideViolatingTrace(threads, vars int, seed int64) *trace.Trace {
+	return wideTrace(threads, vars, seed, true)
+}
+
+func wideTrace(threads, vars int, seed int64, interleaveLast bool) *trace.Trace {
+	if threads < 2 {
+		threads = 2
+	}
+	if vars < 1 {
+		vars = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	b := trace.NewBuilder()
+	ids := make([]trace.ThreadID, threads)
+	for i := range ids {
+		ids[i] = b.Thread("t" + suffix(i))
+	}
+	xs := make([]trace.VarID, vars)
+	for i := range xs {
+		xs[i] = b.Var("x" + suffix(i))
+	}
+	order := rng.Perm(threads)
+	serial := len(order)
+	if interleaveLast {
+		serial -= 2
+	}
+	for _, i := range order[:serial] {
+		t, x := ids[i], xs[rng.Intn(vars)]
+		b.Begin(t)
+		b.Read(t, x)
+		b.Write(t, x)
+		b.End(t)
+	}
+	if interleaveLast {
+		u, v, x := ids[order[serial]], ids[order[serial+1]], xs[rng.Intn(vars)]
+		b.Begin(u)
+		b.Begin(v)
+		b.Read(u, x)
+		b.Read(v, x)
+		b.Write(u, x)
+		b.Write(v, x)
+		b.End(u)
+		b.End(v)
+	}
+	return mustValid(b.Build(), "wide")
 }
 
 func mustValid(tr *trace.Trace, shape string) *trace.Trace {

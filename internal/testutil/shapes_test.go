@@ -80,3 +80,42 @@ func TestQuotaThrashFreshVars(t *testing.T) {
 		}
 	}
 }
+
+func TestWideTraceShape(t *testing.T) {
+	const threads, vars = 40, 3
+	a, b := WideTrace(threads, vars, 5), WideTrace(threads, vars, 5)
+	if !reflect.DeepEqual(a.Events, b.Events) {
+		t.Fatal("wide: builder is not deterministic for a fixed seed")
+	}
+	if reflect.DeepEqual(a.Events, WideTrace(threads, vars, 6).Events) {
+		t.Fatal("wide: seed does not change the trace")
+	}
+	for _, tr := range []*trace.Trace{a, WideViolatingTrace(threads, vars, 5)} {
+		if len(tr.Events) != 4*threads {
+			t.Fatalf("wide: %d events, want %d", len(tr.Events), 4*threads)
+		}
+		perThread := map[trace.ThreadID][]trace.OpKind{}
+		for _, e := range tr.Events {
+			perThread[e.Thread] = append(perThread[e.Thread], e.Kind)
+		}
+		want := []trace.OpKind{trace.Begin, trace.Read, trace.Write, trace.End}
+		if len(perThread) != threads {
+			t.Fatalf("wide: %d distinct threads, want %d", len(perThread), threads)
+		}
+		for th, kinds := range perThread {
+			if !reflect.DeepEqual(kinds, want) {
+				t.Fatalf("wide: thread %d runs %v, want begin; r; w; end", th, kinds)
+			}
+		}
+	}
+	// Only the violating variant interleaves, and only its last two
+	// transactions.
+	v := WideViolatingTrace(threads, vars, 5)
+	if !reflect.DeepEqual(a.Events[:len(a.Events)-8], v.Events[:len(v.Events)-8]) {
+		t.Fatal("wide-violating: the serial prefix differs from WideTrace's")
+	}
+	u, w := v.Events[len(v.Events)-8], v.Events[len(v.Events)-7]
+	if u.Kind != trace.Begin || w.Kind != trace.Begin || u.Thread == w.Thread {
+		t.Fatalf("wide-violating: last two transactions are not interleaved: %v, %v", u, w)
+	}
+}

@@ -634,13 +634,7 @@ func (c *Clock) JoinZeroingInto(dst *vc.Sparse, skip int) {
 // tree structure (densely entangled chains) and a flat representation
 // would serve it better.
 func (c *Clock) JoinFlat(o vc.Clock) bool {
-	// The star cutover scales with the tree: a bulk rebuild is O(entries),
-	// so it must be amortized by a proportional number of raised entries
-	// (absolute floor for small trees).
-	threshold := starRebuildThreshold
-	if t := len(c.nodes) / 4; t > threshold {
-		threshold = t
-	}
+	threshold := c.starThreshold()
 	changed := 0
 	if c.mirrorVer == c.mut {
 		m := c.mirror
@@ -665,10 +659,7 @@ func (c *Clock) JoinFlat(o vc.Clock) bool {
 	if changed == 0 {
 		return false
 	}
-	// Churn signal for the caller: either the star cutover fired, or —
-	// for trees too small to ever reach the absolute floor — at least half
-	// the entries were raised by this single join.
-	churned := changed*2 > len(c.nodes) && changed >= 4
+	churned := c.smallTreeChurn(changed)
 	c.materialize()
 	if changed > threshold && c.root != nilNode {
 		// Past the threshold the incremental detach/re-attach surgery costs
@@ -748,6 +739,47 @@ func (c *Clock) JoinFlat(o vc.Clock) bool {
 // starRebuildThreshold is the number of raised entries past which JoinFlat
 // rebuilds the tree as a star instead of moving nodes one by one.
 const starRebuildThreshold = 16
+
+// starThreshold is JoinFlat's star cutover for this tree. It scales with
+// the tree: a bulk rebuild is O(entries), so it must be amortized by a
+// proportional number of raised entries (absolute floor for small trees).
+func (c *Clock) starThreshold() int {
+	if t := len(c.nodes) / 4; t > starRebuildThreshold {
+		return t
+	}
+	return starRebuildThreshold
+}
+
+// smallTreeChurn is JoinFlat's churn signal for joins below the star
+// cutover: for trees too small to ever reach the absolute floor, at least
+// half the entries were raised by this single join.
+func (c *Clock) smallTreeChurn(raised int) bool {
+	return raised*2 > len(c.nodes) && raised >= 4
+}
+
+// JoinFlatWouldChurn reports whether JoinFlat(o) is certain to report
+// churn, where nz is o's nonzero-entry count. Every nonzero entry of o
+// without a node in c is created by the join, and each creation is a
+// raise; when that lower bound already passes JoinFlat's own churn test,
+// the join's verdict is decided before it runs. A caller that would demote
+// on churn can then demote first and join on the flat side, instead of
+// having the join lay out a tree only to throw it away.
+//
+// The bound is O(1): it assumes every non-root node is covered by o and
+// checks the root exactly. A fresh thread clock is its root alone, and
+// its own entry is absent from the flat sources it first absorbs, so for
+// it the bound is exact. ⊥ trees never churn.
+func (c *Clock) JoinFlatWouldChurn(o vc.Clock, nz int) bool {
+	if c.root == nilNode {
+		return false
+	}
+	covered := len(c.nodes)
+	if o.At(int(c.nodes[c.root].tid)) == 0 {
+		covered--
+	}
+	created := nz - covered
+	return created > c.starThreshold() || c.smallTreeChurn(created)
+}
 
 // joinFlatStar rebuilds c as a root-plus-leaves star holding c ⊔ o, for
 // joins that raise many entries at once (a chain workload's token absorb

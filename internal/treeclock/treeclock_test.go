@@ -382,3 +382,58 @@ func BenchmarkTreeLeqDominated(b *testing.B) {
 		}
 	}
 }
+
+// TestJoinFlatWouldChurnImpliesChurn pins the pre-join churn predicate to
+// JoinFlat's own verdict: whenever JoinFlatWouldChurn says yes, JoinFlat on
+// that source must report churn, for trees and sources of every size
+// around the small-tree and star thresholds.
+func TestJoinFlatWouldChurnImpliesChurn(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	predicted := 0
+	for iter := 0; iter < 2000; iter++ {
+		width := 2 + r.Intn(300)
+		c := New()
+		c.InitUnit(r.Intn(width))
+		// Grow the tree with a sparse flat join of random size.
+		var seed vc.Clock
+		for k := r.Intn(width); k > 0; k-- {
+			seed = seed.Set(r.Intn(width), vc.Time(1+r.Intn(5)))
+		}
+		c.JoinFlat(seed)
+		var o vc.Clock
+		nz := 0
+		for i := 0; i < width; i++ {
+			if r.Intn(4) == 0 {
+				continue
+			}
+			o = o.Set(i, vc.Time(1+r.Intn(8)))
+			nz++
+		}
+		if !c.JoinFlatWouldChurn(o, nz) {
+			continue
+		}
+		predicted++
+		n := c.NumEntries()
+		if !c.JoinFlat(o) {
+			t.Fatalf("iter %d: JoinFlatWouldChurn(%d) on a %d-entry tree, but JoinFlat reported no churn", iter, nz, n)
+		}
+	}
+	if predicted < 100 {
+		t.Fatalf("predicate fired on only %d of 2000 joins; the test exercises nothing", predicted)
+	}
+
+	// A fresh thread clock holds only its own entry: four source entries
+	// elsewhere are four raises, which is churn on a 1-entry tree; with
+	// the own entry among them, only three are certain.
+	c := New()
+	c.InitUnit(0)
+	if !c.JoinFlatWouldChurn(vc.Clock{0, 1, 1, 1, 1}, 4) {
+		t.Fatalf("1-entry tree: four created entries must be certain churn")
+	}
+	if c.JoinFlatWouldChurn(vc.Clock{5, 1, 1, 1}, 4) || c.JoinFlatWouldChurn(vc.Clock{0, 1, 1, 1}, 3) {
+		t.Fatalf("1-entry tree: three created entries are not certain churn")
+	}
+	if New().JoinFlatWouldChurn(vc.Clock{1, 1, 1, 1, 1, 1}, 6) {
+		t.Fatalf("⊥ tree: JoinFlat never reports churn, so neither may the predicate")
+	}
+}
