@@ -48,9 +48,15 @@
 //     doubles with each demotion, so phase-flapping workloads settle on
 //     flat instead of thrashing.
 //
-// The ȒR_x accumulators are sparse (vc.Sparse, thread→time pairs that
-// promote themselves to dense past a bench-swept threshold of 16 entries;
-// see vc.PromoteThreshold) in every representation.
+// In every representation the per-variable read state does not grow with
+// thread count. ȒR_x, the join of every reader's clock with the reader's
+// own component zeroed, equals R_x at every thread u except those whose
+// own read stamp no other reader's flush has carried yet: each R_x update
+// is a reader's flush that updates ȒR_x from the same clock, skipping
+// only the reader. So ȒR_x is kept as the short list of those exceptions
+// to R_x, and the update-set marks as a list of the open transactions
+// that already list the variable. Past 16 entries (vc.PromoteThreshold) a
+// list indexes itself by thread.
 // On top of any representation the engine keeps its per-event cost
 // sublinear in thread count: an active-transaction registry replaces the
 // all-thread update-set scans, per-thread released/dirty lock lists

@@ -12,11 +12,10 @@ import (
 // always a pointer type, so clock identity is pointer identity — the
 // epoch fast paths key on (identity, Ver) pairs.
 //
-// The ȒR_x accumulators are deliberately NOT behind this interface: they
-// are updated only through zeroing joins (outside the tree clock transfer
-// discipline) and read only through single components, so every
-// representation keeps them in the shared sparse encoding (vc.Sparse,
-// thread→time pairs) and exposes JoinZeroingInto to feed them.
+// ȒR_x has no clock of its own: it is read only through single components
+// and every update pairs with an R_x update from the same reader clock, so
+// the engine keeps it as a short list of exceptions to R_x (optVar.hrx),
+// fed from the single components of the reader's clock.
 type clockRep[C comparable] interface {
 	comparable
 	// InitUnit resets the clock to ⊥[1/t] and marks thread t as its owner.
@@ -29,9 +28,6 @@ type clockRep[C comparable] interface {
 	Leq(o C) bool
 	// Join sets this clock to its join with o.
 	Join(o C)
-	// JoinZeroingInto joins this clock's components into the sparse ȒR
-	// accumulator dst, ignoring component skip.
-	JoinZeroingInto(dst *vc.Sparse, skip int)
 	// CopyFrom overwrites this clock with o (deep assignment).
 	CopyFrom(o C)
 	// MonotoneCopyFrom overwrites this clock with o under the caller's
@@ -96,10 +92,6 @@ func (f *flatClock) Join(o *flatClock) {
 	if changed {
 		f.mut++
 	}
-}
-
-func (f *flatClock) JoinZeroingInto(dst *vc.Sparse, skip int) {
-	dst.JoinZeroing(f.c, skip)
 }
 
 func (f *flatClock) CopyFrom(o *flatClock) {

@@ -16,6 +16,16 @@
 //     the variables that need it, and garbage collection of transactions
 //     with no incoming edges.
 //
+// Optimized keeps ȒR_x without a clock of its own. Every R_x update is a
+// flush of some reader u's clock C_u, and it comes with ȒR_x ⊔= C_u[0/u]
+// from the same clock; so ȒR_x(w) = R_x(w) at every thread w except the
+// readers whose own stamp in R_x no other reader's flush has carried yet.
+// The engine stores only those exceptions (usually none or one per
+// variable), and reads ȒR_x(t) as the exception if t is listed, else
+// R_x(t). Its update-set marks are likewise kept per variable as a list
+// of the open transactions that already list it, not one stamp per
+// thread.
+//
 // # Deviations from the printed pseudocode (paper errata)
 //
 // The differential test suite (differential_test.go) holds Basic to the

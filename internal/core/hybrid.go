@@ -318,14 +318,6 @@ func (h *hybridClock) joinFlatTarget(o *hybridClock) {
 	h.flat.Join(&o.flat)
 }
 
-func (h *hybridClock) JoinZeroingInto(dst *vc.Sparse, skip int) {
-	if h.tree != nil {
-		h.tree.JoinZeroingInto(dst, skip)
-		return
-	}
-	h.flat.JoinZeroingInto(dst, skip)
-}
-
 func (h *hybridClock) CopyFrom(o *hybridClock) {
 	if h.tree != nil {
 		if o.tree == nil {

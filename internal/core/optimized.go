@@ -1,9 +1,6 @@
 package core
 
-import (
-	"aerodrome/internal/treeclock"
-	"aerodrome/internal/vc"
-)
+import "aerodrome/internal/treeclock"
 
 // The Algorithm 3 engine comes in two instantiations over the clock
 // representation layer (see clockRep):
@@ -126,10 +123,10 @@ func newOptimizedGenericFlat() *OptimizedOn[*flatClock] {
 // version still matches.
 type accessSlot struct {
 	thread   int32
-	wasInTxn bool    // writes only: staleW semantics differ inside a txn
-	ctVer    uint64  // the accessing thread's clock version
-	rxVer    uint64  // writes only: R_x version
-	wVer     uint64  // writes only: W_x version
-	cbVer    uint64  // writes only: the begin clock behind the ȒR check
-	hrxAtT   vc.Time // writes only: the ȒR component the check reads
+	wasInTxn bool   // writes only: staleW semantics differ inside a txn
+	ctVer    uint64 // the accessing thread's clock version
+	rxVer    uint64 // writes only: R_x version
+	wVer     uint64 // writes only: W_x version
+	cbVer    uint64 // writes only: the begin clock behind the ȒR check
+	hrxVer   uint64 // writes only: the ȒR_x exception list (with rxVer, ȒR_x(thread))
 }

@@ -42,7 +42,7 @@ type optThread[C comparable] struct {
 	activeIdx int32
 	// updR / updW are the paper's UpdateSetʳ_t / UpdateSetʷ_t, as slices
 	// of variable IDs deduplicated through the variables' markR/markW
-	// stamps (one entry per variable per transaction).
+	// lists (one entry per variable per transaction).
 	updR, updW []int32
 	// relLocks lists the locks whose lastRel is this thread, so the GC
 	// path resets them without sweeping the lock table.
@@ -81,17 +81,27 @@ type optVar[C comparable] struct {
 	// been written to w because the writing transaction is still running;
 	// readers consult the writer's live clock instead.
 	staleW bool
-	rx     C         // R_x
-	hrx    vc.Sparse // ȒR_x (sparse in every representation; see clockRep)
+	rx     C // R_x
+	// hrx holds ȒR_x as its exceptions to R_x: (u, ȒR_x(u)) for each thread
+	// u with ȒR_x(u) < R_x(u), i.e. a reader whose own stamp in R_x no
+	// other reader's flush has carried yet. Every R_x update is a reader
+	// u's flush, which joins C_u into R_x and C_u[0/u] into ȒR_x, so at
+	// every unlisted thread the two agree (see flushRead and hrxAt).
+	hrx tidList
 	// staleR is the paper's Staleʳ_x: threads whose reads of x (inside still
 	// running transactions) have not been flushed into rx/hrx.
 	staleR []int32
-	// markR/markW deduplicate update-set membership (see optThread.updR).
-	markR, markW vc.Clock
+	// markR/markW deduplicate update-set membership (see optThread.updR):
+	// (u, C⊲_u(u)) for each open transaction of u that already lists x.
+	// An entry whose transaction has closed is dead; markOpen drops dead
+	// entries as the lists grow, so they hold about one entry per open
+	// transaction covering x instead of one stamp per thread.
+	markR, markW tidList
 	slot         epochSlot[C]
-	// readSlot skips the unary-read flush (the O(width) rx/ȒR joins) when
-	// the same thread re-reads x with an unchanged clock: both joins are
-	// then no-ops. (coverRead still runs; it is O(active transactions).)
+	// readSlot skips the unary-read flush (the O(width) R_x join and the
+	// ȒR_x exception update) when the same thread re-reads x with an
+	// unchanged clock: the flush is then a no-op. (coverRead still runs;
+	// it is O(active transactions).)
 	readSlot accessSlot
 	// writeSlot is the same for repeat writes: with no stale readers and
 	// unchanged clocks, the write handler's flush, check and updates are
@@ -160,8 +170,8 @@ type OptimizedOn[C clockRep[C]] struct {
 	// epoch fast path vs. falling through to the full Leq+Join.
 	epochHits   int64
 	epochMisses int64
-	// sparsePromotions counts ȒR_x accumulators promoting to dense; every
-	// hrx allocated by ensureVar points its counter here.
+	// sparsePromotions counts per-variable tidLists (ȒR_x exceptions,
+	// update-set marks) promoting to their indexed form.
 	sparsePromotions int64
 	// repStats, set by the hybrid/auto constructors, shares the
 	// representation-transition counters with the thread clocks.
@@ -250,7 +260,6 @@ func (b *OptimizedOn[C]) ensureVar(x int) *optVar[C] {
 		// Lazy clock allocation, as in ensureLock.
 		v.w = b.newAuxClock()
 		v.rx = b.newAuxClock()
-		v.hrx.CountPromotionsInto(&b.sparsePromotions)
 	}
 	return v
 }
@@ -307,12 +316,8 @@ func (b *OptimizedOn[C]) coverRead(x int32, clk C) {
 	for _, u := range b.active {
 		us := &b.threads[u]
 		own := us.cb.At(int(u))
-		if own <= clk.At(int(u)) {
-			v := &b.vars[x]
-			if v.markR.At(int(u)) != own {
-				v.markR = v.markR.Set(int(u), own)
-				us.updR = append(us.updR, x)
-			}
+		if own <= clk.At(int(u)) && b.markOpen(&b.vars[x].markR, u, own) {
+			us.updR = append(us.updR, x)
 		}
 	}
 }
@@ -322,14 +327,74 @@ func (b *OptimizedOn[C]) coverWrite(x int32, clk C) {
 	for _, u := range b.active {
 		us := &b.threads[u]
 		own := us.cb.At(int(u))
-		if own <= clk.At(int(u)) {
-			v := &b.vars[x]
-			if v.markW.At(int(u)) != own {
-				v.markW = v.markW.Set(int(u), own)
-				us.updW = append(us.updW, x)
-			}
+		if own <= clk.At(int(u)) && b.markOpen(&b.vars[x].markW, u, own) {
+			us.updW = append(us.updW, x)
 		}
 	}
+}
+
+// markOpen records in m that thread u's open transaction, whose begin
+// stamp is own, lists the variable, and reports whether it was not
+// recorded yet. Entries of closed transactions (the thread has no open
+// transaction, or one with another stamp) are dead and pruned before the
+// list grows; pruning is amortized O(1), so coverRead stays O(active).
+func (b *OptimizedOn[C]) markOpen(m *tidList, u int32, own vc.Time) bool {
+	if i := m.find(int(u)); i >= 0 {
+		if m.entry(i).t == own {
+			return false
+		}
+		m.setAt(i, own)
+		return true
+	}
+	m.prune(func(e tidEntry) bool {
+		ws := &b.threads[e.tid]
+		return ws.activeIdx < 0 || ws.cb.At(int(e.tid)) != e.t
+	})
+	if m.add(int(u), own) {
+		b.sparsePromotions++
+	}
+	return true
+}
+
+// flushRead flushes reader u's clock c into x's read clocks: R_x ⊔= c and
+// ȒR_x ⊔= c[0/u], with ȒR_x kept as its exceptions to R_x (optVar.hrx).
+// An unlisted thread w ≠ u stays unlisted, since both clocks take c(w). A
+// listed w ≠ u changes only if c(w) > ȒR_x(w): it leaves the list once
+// c(w) reaches R_x(w) and otherwise takes c(w). u itself is skipped by
+// the ȒR_x join, so if R_x(u) grows past an unlisted ȒR_x(u) = R_x(u), u
+// is listed with the old value. Beside the R_x join this costs one step
+// per listed thread.
+func (b *OptimizedOn[C]) flushRead(v *optVar[C], c C, u int) {
+	old := v.rx.At(u)
+	v.rx.Join(c)
+	d := &v.hrx
+	listed := false
+	es := d.entries()
+	for i := 0; i < len(es); {
+		w := int(es[i].tid)
+		if w == u {
+			listed = true
+		} else if cw := c.At(w); cw > es[i].t {
+			if cw >= v.rx.At(w) {
+				d.deleteAt(i) // moves es[len(es)-1] to es[i]
+				es = es[:len(es)-1]
+				continue
+			}
+			d.setAt(i, cw)
+		}
+		i++
+	}
+	if !listed && v.rx.At(u) > old && d.add(u, old) {
+		b.sparsePromotions++
+	}
+}
+
+// hrxAt returns ȒR_x(u): u's exception if listed, else R_x(u).
+func (b *OptimizedOn[C]) hrxAt(v *optVar[C], u int) vc.Time {
+	if i := v.hrx.find(u); i >= 0 {
+		return v.hrx.entry(i).t
+	}
+	return v.rx.At(u)
 }
 
 // markThreadDirty lists thread u on the dirty-thread list of every active
@@ -435,8 +500,7 @@ func (b *OptimizedOn[C]) Process(e trace.Event) *Violation {
 			// so the live clock must not be consulted later. A repeat flush
 			// by the same thread under an unchanged clock is a no-op.
 			if !(v.readSlot.thread == int32(t) && v.readSlot.ctVer == ct.Ver()) {
-				v.rx.Join(ct)
-				ct.JoinZeroingInto(&v.hrx, t)
+				b.flushRead(v, ct, t)
 				v.readSlot = accessSlot{thread: int32(t), ctVer: ct.Ver()}
 			}
 		}
@@ -459,7 +523,7 @@ func (b *OptimizedOn[C]) Process(e trace.Event) *Violation {
 			v.writeSlot.rxVer == v.rx.Ver() && v.writeSlot.wVer == v.w.Ver() &&
 			v.writeSlot.cbVer == ts.cb.Ver() &&
 			v.writeSlot.wasInTxn == (ts.depth > 0) &&
-			v.writeSlot.hrxAtT == v.hrx.At(t) {
+			v.writeSlot.hrxVer == v.hrx.ver {
 			b.coverWrite(x, ts.c)
 			break
 		}
@@ -467,14 +531,13 @@ func (b *OptimizedOn[C]) Process(e trace.Event) *Violation {
 		// covered begins so end-time flushes stay exact.
 		for _, u := range v.staleR {
 			uc := b.threads[u].c
-			v.rx.Join(uc)
-			uc.JoinZeroingInto(&v.hrx, int(u))
+			b.flushRead(v, uc, int(u))
 			b.coverRead(x, uc)
 		}
 		v.staleR = v.staleR[:0]
 		// The ȒR check: ∃u≠t with C⊲_t ⊑ R_{u,x}, via the begin clock's own
 		// component (see the package comment).
-		if ts.depth > 0 && ts.cb.At(t) <= v.hrx.At(t) {
+		if ts.depth > 0 && ts.cb.At(t) <= b.hrxAt(v, t) {
 			b.viol = &Violation{
 				Index: b.n, Event: e, ActiveThread: e.Thread,
 				Check: CheckWriteRead, Algorithm: b.Name(),
@@ -497,7 +560,7 @@ func (b *OptimizedOn[C]) Process(e trace.Event) *Violation {
 		v.writeSlot = accessSlot{
 			thread: int32(t), wasInTxn: ts.depth > 0,
 			ctVer: ts.c.Ver(), rxVer: v.rx.Ver(), wVer: v.w.Ver(),
-			cbVer: ts.cb.Ver(), hrxAtT: v.hrx.At(t),
+			cbVer: ts.cb.Ver(), hrxVer: v.hrx.ver,
 		}
 
 	case trace.Acquire:
@@ -614,8 +677,7 @@ func (b *OptimizedOn[C]) handleEnd(t int, e trace.Event) {
 		ts.updW = ts.updW[:0]
 		for _, x := range ts.updR {
 			v := &b.vars[x]
-			v.rx.Join(ct)
-			ct.JoinZeroingInto(&v.hrx, t)
+			b.flushRead(v, ct, t)
 			v.removeStaleReader(int32(t))
 			b.coverRead(x, ct)
 		}

@@ -1,8 +1,9 @@
 package core
 
 // Bench-backed sweep of vc.PromoteThreshold, the entry count past which
-// the sparse ȒR_x accumulators promote themselves to dense clocks. The
-// interesting regime is read-heavy traces whose variables are read by
+// the sparse ȒR_x accumulators (vc.Sparse, ReadOpt) promote themselves to
+// dense clocks and the Algorithm 3 engines' per-variable read-state lists
+// (tidList) build their thread index. The interesting regime is read-heavy traces whose variables are read by
 // more threads than the threshold (ROADMAP PR 2 open item: 13–64 readers
 // per variable pay dense promotion early at the old threshold of 12).
 //

@@ -19,8 +19,9 @@ type EngineStats struct {
 	// full propagation path vs. the garbage-collection fast path.
 	EndsFull      int64
 	EndsCollected int64
-	// SparsePromotions counts ȒR_x accumulators (vc.Sparse) that
-	// outgrew the association list and promoted to dense clocks.
+	// SparsePromotions counts per-variable read-state lists (ȒR_x
+	// exception lists and update-set mark lists, see tidList) that
+	// outgrew linear search and built their thread index.
 	SparsePromotions int64
 	// TreeDemotions / TreeRepromotions count hybrid thread clocks
 	// demoting tree→flat under join churn and re-promoting after the

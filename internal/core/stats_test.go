@@ -44,41 +44,44 @@ func TestStatsEpochAndEndCounters(t *testing.T) {
 }
 
 func TestStatsSparsePromotions(t *testing.T) {
-	// ȒR_x accumulates the *other-thread* components of each reader's
-	// clock (the join zeroes the reader's own), so promotion needs readers
-	// with wide clocks, not merely many readers. A lock convoy entangles
-	// them: each acquire inherits every previous holder's component, so
-	// late readers flush more components than the threshold into ȒR_x.
+	// The per-variable lists (ȒR_x's exceptions to R_x, the update-set
+	// marks) grow only with readers whose stamps no other reader has
+	// absorbed: concurrently open transactions that all read x. Every
+	// reader's flush at its end lists it in ȒR_x's exceptions, and every
+	// read marks x for its own open transaction, so past the threshold
+	// both lists must promote to the indexed form. Forking from t0, which
+	// wrote x, makes every reader's end take the full propagation path.
 	readers := vc.PromoteThreshold + 8
 	b := trace.NewBuilder()
-	threads := make([]trace.ThreadID, readers)
+	threads := make([]trace.ThreadID, readers+1)
 	for i := range threads {
 		threads[i] = b.Thread(fmt.Sprintf("t%d", i))
 	}
 	x := b.Var("x")
-	l := b.Lock("l")
-	for i := 1; i < readers; i++ {
-		b.Fork(threads[0], threads[i])
-	}
 	b.Begin(threads[0])
 	b.Write(threads[0], x)
 	b.End(threads[0])
-	for _, th := range threads {
-		b.Acquire(th, l)
-		b.Begin(th)
-		b.Read(th, x)
-		b.End(th)
-		b.Release(th, l)
+	for _, th := range threads[1:] {
+		b.Fork(threads[0], th)
 	}
-	for i := 1; i < readers; i++ {
-		b.Join(threads[0], threads[i])
+	for _, th := range threads[1:] {
+		b.Begin(th)
+	}
+	for _, th := range threads[1:] {
+		b.Read(th, x)
+	}
+	for _, th := range threads[1:] {
+		b.End(th)
+	}
+	for _, th := range threads[1:] {
+		b.Join(threads[0], th)
 	}
 	eng := NewOptimized()
 	if v, _ := Run(eng, b.Build().Cursor()); v != nil {
 		t.Fatalf("unexpected violation: %v", v)
 	}
 	if s := eng.Stats(); s.SparsePromotions == 0 {
-		t.Fatalf("no sparse promotion counted with %d convoyed readers", readers)
+		t.Fatalf("no sparse promotion counted with %d concurrently open readers", readers)
 	}
 }
 

@@ -7,6 +7,8 @@ package rapidio
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -386,6 +388,44 @@ func TestFeederBinaryMatchesBinaryReaderAllChunkings(t *testing.T) {
 				if gotErr == nil || gotErr.Error() != wantErr.Error() {
 					t.Fatalf("%s chunks %v: error %q, want %q", name, sizes, gotErr, wantErr)
 				}
+			}
+		}
+	}
+}
+
+// TestBinaryErrorsNamePosition pins where a malformed record is reported:
+// both readers name the record's 1-based number and its byte offset, with
+// the same text under every chunking, and ReadBatch agrees with Read.
+func TestBinaryErrorsNamePosition(t *testing.T) {
+	bin, events := binaryLog(t, 30, 5)
+	badKind := append([]byte(nil), bin...)
+	badKind[16+8*5+2] = 0xEE
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"bad-kind", badKind, "rapidio: record 6 at byte offset 56: bad op kind 238"},
+		{"trunc-record", bin[:len(bin)-3], fmt.Sprintf(
+			"rapidio: record %d at byte offset %d: truncated record",
+			len(events), 16+8*(len(events)-1))},
+	} {
+		_, err := readAllBinary(t, tc.data)
+		if err == nil || !errors.Is(err, ErrFormat) || !strings.HasPrefix(err.Error(), tc.want+":") {
+			t.Fatalf("%s: BinaryReader error %q, want prefix %q", tc.name, err, tc.want)
+		}
+		br := NewBinaryReader(bytes.NewReader(tc.data))
+		batch := make([]trace.Event, 4)
+		var batchErr error
+		for batchErr == nil {
+			_, batchErr = br.ReadBatch(batch)
+		}
+		if batchErr.Error() != err.Error() {
+			t.Fatalf("%s: ReadBatch error %q, Read error %q", tc.name, batchErr, err)
+		}
+		for _, sizes := range [][]int{{1}, {3}, {8}, {13}, {1 << 10}} {
+			if _, ferr := drainFeeder(t, tc.data, sizes); ferr == nil || ferr.Error() != err.Error() {
+				t.Fatalf("%s chunks %v: Feeder error %q, want %q", tc.name, sizes, ferr, err)
 			}
 		}
 	}

@@ -451,6 +451,8 @@ type Feeder struct {
 	mode   feedMode
 	// binHeader records that the 16-byte binary header has been consumed.
 	binHeader bool
+	// binRecs counts the binary records consumed (error positions).
+	binRecs int64
 }
 
 // NewFeeder returns an empty Feeder.
@@ -619,11 +621,11 @@ func (f *Feeder) readBatchBinary(dst []trace.Event) (int, error) {
 			if len(win) == 0 {
 				return n, f.latch(io.EOF)
 			}
-			return n, f.latch(fmt.Errorf("rapidio: truncated record: %w", ErrFormat))
+			return n, f.latch(binRecordError(f.binRecs, "truncated record"))
 		}
 		kind := trace.OpKind(win[2])
 		if kind > trace.Join {
-			return n, f.latch(fmt.Errorf("rapidio: bad op kind %d: %w", win[2], ErrFormat))
+			return n, f.latch(binRecordError(f.binRecs, fmt.Sprintf("bad op kind %d", win[2])))
 		}
 		dst[n] = trace.Event{
 			Thread: trace.ThreadID(binary.LittleEndian.Uint16(win[0:2])),
@@ -631,6 +633,7 @@ func (f *Feeder) readBatchBinary(dst []trace.Event) (int, error) {
 			Target: int32(binary.LittleEndian.Uint32(win[4:8])),
 		}
 		f.pos += 8
+		f.binRecs++
 		n++
 	}
 	return n, nil
@@ -757,6 +760,15 @@ func WriteSource(w io.Writer, src trace.Source) (int64, error) {
 
 var binMagic = [4]byte{'A', 'D', 'B', '1'}
 
+// binRecordError reports a malformed binary record by its 1-based number
+// and the byte offset where it starts (after the 16-byte header, records
+// are 8 bytes each), so BinaryReader and Feeder name the same place
+// whatever the chunking.
+func binRecordError(rec int64, what string) error {
+	return fmt.Errorf("rapidio: record %d at byte offset %d: %s: %w",
+		rec+1, 16+8*rec, what, ErrFormat)
+}
+
 // IsBinary reports whether head (the first bytes of a trace stream, at
 // least 4 to be conclusive) carries the binary-format magic. Format
 // sniffers — CheckFilesParallel, the aerodromed /v1/check endpoint — share
@@ -813,6 +825,7 @@ type BinaryReader struct {
 	r      *bufio.Reader
 	header bool
 	err    error
+	recs   int64   // records returned so far (error positions)
 	record [8]byte // scratch: io.ReadFull would heap-allocate a local
 }
 
@@ -844,14 +857,15 @@ func (br *BinaryReader) Read() (trace.Event, error) {
 			br.err = io.EOF
 			return trace.Event{}, io.EOF
 		}
-		br.err = fmt.Errorf("rapidio: truncated record: %w", ErrFormat)
+		br.err = binRecordError(br.recs, "truncated record")
 		return trace.Event{}, br.err
 	}
 	kind := trace.OpKind(rec[2])
 	if kind > trace.Join {
-		br.err = fmt.Errorf("rapidio: bad op kind %d: %w", rec[2], ErrFormat)
+		br.err = binRecordError(br.recs, fmt.Sprintf("bad op kind %d", rec[2]))
 		return trace.Event{}, br.err
 	}
+	br.recs++
 	return trace.Event{
 		Thread: trace.ThreadID(binary.LittleEndian.Uint16(rec[0:2])),
 		Kind:   kind,

@@ -11,9 +11,11 @@ package testutil
 // emitted whole, one after another, so every conflict edge points forward
 // in commit order.
 //
-// The wide shape (WideTrace, WideViolatingTrace) is the exception: it is
-// seeded, and it exists to be wider than the byte format's 16 threads, so
-// that joins raise more entries than the fuzzers can reach.
+// The wide shape (WideTrace, WideViolatingTrace) and the concurrent-readers
+// shape (ConcurrentReadersTrace, ConcurrentReadersViolatingTrace) are the
+// exceptions: they are seeded, and they exist to be wider than the byte
+// format's 16 threads, so that joins raise, and per-variable read state
+// holds, more entries than the fuzzers can reach.
 
 import (
 	"math/rand"
@@ -346,6 +348,91 @@ func wideTrace(threads, vars int, seed int64, interleaveLast bool) *trace.Trace 
 		b.End(v)
 	}
 	return mustValid(b.Build(), "wide")
+}
+
+// concurrentReaderRounds is how many rounds ConcurrentReadersTrace runs.
+const concurrentReaderRounds = 4
+
+// ConcurrentReadersTrace builds rounds of simultaneously open readers. In
+// each round every reader begins; each reads the round's hot variable
+// and, half of them, one more of vars shared variables; then all end, in
+// seeded orders. A writer transaction then writes every variable, and one
+// reader re-reads the hot variable outside any transaction. No reader's
+// stamp reaches another reader within a round, so a variable's read state
+// holds one entry per open reader of it; the writer carries all of them
+// to the next round's readers, which absorb them. The trace is
+// serializable. readers ≥ 1 and vars ≥ 1 after clamping.
+func ConcurrentReadersTrace(readers, vars int, seed int64) *trace.Trace {
+	return concurrentReadersTrace(readers, vars, seed, false)
+}
+
+// ConcurrentReadersViolatingTrace is ConcurrentReadersTrace whose last
+// round closes a cycle while the readers are still open: the writer
+// begins, writes a flag variable that one reader of the hot variable then
+// reads, and writes the hot variable. That reader's transaction both
+// follows the writer's (through the flag) and precedes it (through the
+// hot variable).
+func ConcurrentReadersViolatingTrace(readers, vars int, seed int64) *trace.Trace {
+	return concurrentReadersTrace(readers, vars, seed, true)
+}
+
+func concurrentReadersTrace(readers, vars int, seed int64, violating bool) *trace.Trace {
+	if readers < 1 {
+		readers = 1
+	}
+	if vars < 1 {
+		vars = 1
+	}
+	rng := rand.New(rand.NewSource(seed))
+	b := trace.NewBuilder()
+	w := b.Thread("w")
+	rs := make([]trace.ThreadID, readers)
+	for i := range rs {
+		rs[i] = b.Thread("r" + suffix(i))
+	}
+	xs := make([]trace.VarID, vars)
+	for i := range xs {
+		xs[i] = b.Var("x" + suffix(i))
+	}
+	flag := b.Var("flag")
+	for _, r := range rs {
+		b.Fork(w, r)
+	}
+	for round := 0; round < concurrentReaderRounds; round++ {
+		hot := xs[round%vars]
+		for _, i := range rng.Perm(readers) {
+			b.Begin(rs[i])
+		}
+		for _, i := range rng.Perm(readers) {
+			b.Read(rs[i], hot)
+			if rng.Intn(2) == 0 {
+				b.Read(rs[i], xs[rng.Intn(vars)])
+			}
+		}
+		writerOpen := false
+		if violating && round == concurrentReaderRounds-1 {
+			b.Begin(w)
+			b.Write(w, flag)
+			b.Read(rs[rng.Intn(readers)], flag)
+			b.Write(w, hot)
+			writerOpen = true
+		}
+		for _, i := range rng.Perm(readers) {
+			b.End(rs[i])
+		}
+		if !writerOpen {
+			b.Begin(w)
+		}
+		for _, x := range xs {
+			b.Write(w, x)
+		}
+		b.End(w)
+		b.Read(rs[rng.Intn(readers)], hot)
+	}
+	for _, r := range rs {
+		b.Join(w, r)
+	}
+	return mustValid(b.Build(), "concurrent-readers")
 }
 
 func mustValid(tr *trace.Trace, shape string) *trace.Trace {

@@ -119,3 +119,38 @@ func TestWideTraceShape(t *testing.T) {
 		t.Fatalf("wide-violating: last two transactions are not interleaved: %v, %v", u, w)
 	}
 }
+
+func TestConcurrentReadersTraceShape(t *testing.T) {
+	const readers, vars = 20, 3
+	a := ConcurrentReadersTrace(readers, vars, 5)
+	if !reflect.DeepEqual(a.Events, ConcurrentReadersTrace(readers, vars, 5).Events) {
+		t.Fatal("concurrent-readers: builder is not deterministic for a fixed seed")
+	}
+	if reflect.DeepEqual(a.Events, ConcurrentReadersTrace(readers, vars, 6).Events) {
+		t.Fatal("concurrent-readers: seed does not change the trace")
+	}
+	// Every round must hold all readers open at once: the last reader
+	// begin of a round precedes its first reader end.
+	open, maxOpen := 0, 0
+	for _, e := range a.Events {
+		if e.Thread == 0 {
+			continue // the writer
+		}
+		switch e.Kind {
+		case trace.Begin:
+			open++
+			if open > maxOpen {
+				maxOpen = open
+			}
+		case trace.End:
+			open--
+		}
+	}
+	if maxOpen != readers {
+		t.Fatalf("concurrent-readers: at most %d readers open at once, want %d", maxOpen, readers)
+	}
+	v := ConcurrentReadersViolatingTrace(readers, vars, 5)
+	if len(v.Events) != len(a.Events)+3 {
+		t.Fatalf("violating variant has %d events, want %d", len(v.Events), len(a.Events)+3)
+	}
+}

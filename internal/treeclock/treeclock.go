@@ -597,29 +597,6 @@ func (c *Clock) leqFrom(o *Clock, vi int32) bool {
 	return true
 }
 
-// JoinZeroingInto joins this clock's components into the sparse clock dst,
-// ignoring component skip: dst ⊔= c[0/skip]. Used for the ȒR_x
-// accumulators, which are sparse in every representation (they are read
-// only through single components and updated only through zeroing joins,
-// which fall outside the tree clock transfer discipline).
-func (c *Clock) JoinZeroingInto(dst *vc.Sparse, skip int) {
-	if c.maxTid < 0 {
-		return
-	}
-	if len(c.nodes)*4 < int(c.maxTid)+1 {
-		// Sparse tree (thread-sharded shape): touching the stored entries
-		// beats scanning a width-proportional flat view.
-		for i := range c.nodes {
-			n := &c.nodes[i]
-			if int(n.tid) != skip && n.clk != 0 {
-				dst.JoinComponent(int(n.tid), n.clk)
-			}
-		}
-		return
-	}
-	dst.JoinZeroing(c.flatView(), skip)
-}
-
 // JoinFlat sets c to c ⊔ o for a flat vector o: the hybrid engine's thread
 // clocks absorbing flat auxiliary accumulators (lock clocks, W_x, R_x).
 // Flat sources carry no version stream, so every entry the join raises or

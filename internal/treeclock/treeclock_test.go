@@ -106,20 +106,6 @@ func TestAuxiliaryJoin(t *testing.T) {
 	}
 }
 
-func TestJoinZeroingInto(t *testing.T) {
-	c := New()
-	c.InitUnit(2)
-	c.Inc(2)
-	o := New()
-	o.InitUnit(5)
-	c.Join(o)
-	var dst vc.Sparse
-	c.JoinZeroingInto(&dst, 2)
-	if dst.At(2) != 0 || dst.At(5) != 1 {
-		t.Fatalf("zeroing join: %v", dst.Flat())
-	}
-}
-
 func TestJoinFlat(t *testing.T) {
 	c := New()
 	c.InitUnit(1)
@@ -262,12 +248,9 @@ func TestRandomizedAgainstFlat(t *testing.T) {
 					t.Fatalf("%s: Leq=%v want %v\nx=%v y=%v\nxtree:\n%s ytree:\n%s",
 						ctx, got, want, x.fc, y.fc, x.tc.debugTree(), y.tc.debugTree())
 				}
-			case 6: // zeroing join agreement
-				var dt vc.Sparse
-				threads[ti].tc.JoinZeroingInto(&dt, ti)
-				df := vc.Clock(nil).JoinZeroing(threads[ti].fc, ti)
-				if !dt.Flat().Equal(df) {
-					t.Fatalf("%s: zeroing %v want %v", ctx, dt.Flat(), df)
+			case 6: // single-component agreement (the engine's ȒR_x flushes)
+				if got, want := threads[ti].tc.At(ui), threads[ti].fc.At(ui); got != want {
+					t.Fatalf("%s: At(%d)=%d want %d", ctx, ui, got, want)
 				}
 			case 7: // thread ⊔= flat aux (hybrid acquire / read check)
 				threads[ti].tc.JoinFlat(fauxs[fi])

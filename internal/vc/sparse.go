@@ -3,10 +3,12 @@ package vc
 // Sparse is a sparse vector time: an unsorted association list of
 // (thread, time) pairs that promotes itself to a dense Clock once it holds
 // more than PromoteThreshold entries. It is the representation of the ȒR_x
-// accumulators across every engine: ȒR_x is read only through single
-// components and written only through zeroing joins, and on real workloads
-// a given variable is read by very few distinct threads, so the common case
-// is a two- or three-entry list instead of an O(|Thr|) vector. Adversarial
+// accumulators of the Algorithm 2 engine (ReadOpt): ȒR_x is read only
+// through single components and written only through zeroing joins, and on
+// real workloads a given variable is read by very few distinct threads, so
+// the common case is a two- or three-entry list instead of an O(|Thr|)
+// vector. (The Algorithm 3 engines keep ȒR_x as exceptions to R_x
+// instead; see internal/core.) Adversarial
 // traces that touch a variable from many threads pay one promotion and then
 // dense-clock costs, never worse than the flat representation they replace.
 //
@@ -16,16 +18,13 @@ type Sparse struct {
 	tids  []int32
 	times []Time
 	dense Clock // non-nil once promoted; tids/times are nil from then on
-	// promCount, when non-nil, is incremented once per promotion. Engines
-	// point every ȒR_x accumulator they allocate at one per-engine counter
-	// (CountPromotionsInto), so promotion rates are attributable per
-	// engine instead of vanishing into a process-global.
-	promCount *int64
 }
 
 // PromoteThreshold is the entry count beyond which Sparse switches to a
 // dense Clock: past this size the linear scans of the association list
-// stop beating the dense representation's O(1) indexing.
+// stop beating the dense representation's O(1) indexing. The Algorithm 3
+// engines' per-variable lists in internal/core index themselves past the
+// same count.
 //
 // The value is pinned by the bench-backed sweep in
 // internal/core/sparse_sweep_test.go (read-heavy traces with 8–48 distinct
@@ -80,11 +79,6 @@ func (s *Sparse) JoinComponent(t int, v Time) {
 	s.times = append(s.times, v)
 }
 
-// CountPromotionsInto points s's promotion counter at c (nil detaches).
-// The counter is bumped without synchronization; callers own the
-// engine-per-goroutine discipline.
-func (s *Sparse) CountPromotionsInto(c *int64) { s.promCount = c }
-
 // promote converts the association list into a dense Clock.
 func (s *Sparse) promote() {
 	var d Clock
@@ -93,9 +87,6 @@ func (s *Sparse) promote() {
 	}
 	s.dense = d
 	s.tids, s.times = nil, nil
-	if s.promCount != nil {
-		*s.promCount++
-	}
 }
 
 // JoinZeroing joins d[0/skip] into s: the ȒR_x ⊔= C_t[0/t] update for flat

@@ -26,8 +26,9 @@ type EngineStats struct {
 	// the full propagation path vs. the garbage-collection fast path.
 	EndsFull      int64 `json:"ends_full"`
 	EndsCollected int64 `json:"ends_collected"`
-	// SparsePromotions counts sparse read accumulators that outgrew the
-	// association list and promoted to dense clocks.
+	// SparsePromotions counts per-variable read-state lists that outgrew
+	// linear search and built a dense thread index (more than 16 threads
+	// with reads of one variable no other reader has absorbed yet).
 	SparsePromotions int64 `json:"sparse_promotions"`
 	// TreeDemotions / TreeRepromotions count hybrid thread clocks
 	// demoting tree→flat under join churn and re-promoting after the
